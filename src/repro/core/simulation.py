@@ -20,6 +20,7 @@ pushes jobs into their walltime limit.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -117,6 +118,19 @@ class SimulationResult:
     def completed_jobs(self) -> List[Job]:
         """Jobs that finished normally."""
         return [j for j in self.jobs if j.state is JobState.COMPLETED]
+
+
+def _weak_node_listener(sim_obj: "ClusterSimulation"):
+    """A ``Node.power_listener`` that forwards to
+    ``sim_obj._on_node_event`` while *sim_obj* is alive."""
+    ref = weakref.ref(sim_obj)
+
+    def on_node_event(node_id: int) -> None:
+        target = ref()
+        if target is not None:
+            target._on_node_event(node_id)
+
+    return on_node_event
 
 
 class ClusterSimulation:
@@ -287,8 +301,13 @@ class ClusterSimulation:
         )
         self._usable_count = len(machine.nodes) - int(self._down_mask.sum())
         self._avail_count = int(self._avail_mask.sum())
+        # Nodes reach the simulation only through a weak reference.
+        # ``_nodes_arr`` holds them where the cycle collector cannot see
+        # it, so a strong node -> simulation edge would keep every
+        # dropped simulation (and its whole object graph) alive.
+        listener = _weak_node_listener(self)
         for node in machine.nodes:
-            node.power_listener = self._on_node_event
+            node.power_listener = listener
         self._bulk_ops = bool(bulk_ops)
         if self._bulk_ops:
             machine.bulk_listener = self._on_bulk_event

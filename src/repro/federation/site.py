@@ -23,7 +23,14 @@ from typing import Optional
 from ..centers import CenterBuild, build_center_simulation
 from ..errors import ConfigurationError
 from ..policies.site_budget import SiteBudgetPolicy
-from ..state import from_bytes, restore, snapshot, state_fingerprint, to_bytes
+from ..state import (
+    blob_digest,
+    from_bytes,
+    restore,
+    snapshot,
+    state_fingerprint,
+    to_bytes,
+)
 from .protocol import EpochOutcome, EpochTask, SiteConfig, SiteReport
 
 __all__ = ["build_site_simulation", "advance_site", "BACKLOG_LOOKAHEAD"]
@@ -117,11 +124,15 @@ def advance_site(task: EpochTask) -> EpochOutcome:
     sim_obj.prepare()
     sim_obj.sim.run(until=task.epoch_end)
 
+    # A kept snapshot is encoded once: its fingerprint is the content
+    # hash already in the blob's header.
     state = snapshot(sim_obj)
-    fingerprint = state_fingerprint(state)
-    blob: Optional[bytes] = (
-        to_bytes(state) if task.keep_snapshot and not task.final else None
-    )
+    blob: Optional[bytes] = None
+    if task.keep_snapshot and not task.final:
+        blob = to_bytes(state)
+        fingerprint = blob_digest(blob)
+    else:
+        fingerprint = state_fingerprint(state)
 
     metrics = None
     if task.final:

@@ -8,7 +8,8 @@ The public surface:
   behavior;
 * :class:`SimState`, :func:`save_state` / :func:`load_state`,
   :func:`to_bytes` / :func:`from_bytes` — the versioned, content-hashed
-  on-disk form (``RPST`` container: JSON envelope + raw numpy arrays);
+  on-disk form (``RPST`` container: JSON envelope + raw numpy arrays),
+  and :func:`blob_digest`, which reads a blob's content hash;
 * :func:`run_checkpointed` / :func:`resume_run` /
   :func:`checkpoint_to` — drive a run with periodic checkpoints and
   resume a killed one;
@@ -43,6 +44,7 @@ from .replay import (
 from .serialize import (
     STATE_SCHEMA_VERSION,
     SimState,
+    blob_digest,
     from_bytes,
     load_state,
     save_state,
@@ -57,6 +59,7 @@ __all__ = [
     "RunRecorder",
     "SimState",
     "StateError",
+    "blob_digest",
     "checkpoint_to",
     "compare_streams",
     "component_digests",

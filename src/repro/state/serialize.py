@@ -24,12 +24,13 @@ module never needs to know about simulation objects.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -76,10 +77,63 @@ class SimState:
 # ----------------------------------------------------------------------
 # Tree encoding
 # ----------------------------------------------------------------------
-def _encode(value: Any, arrays: List[np.ndarray], path: str) -> Any:
-    if value is None or isinstance(value, (bool, str)):
+#: Leaf types emitted unchanged.  Dispatch is on the exact type, so
+#: subclasses (``IntEnum``, numpy scalars) take the ``isinstance`` path.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+class _Unencodable(Exception):
+    """A leaf the codec cannot encode.  Collects the dict keys above it
+    on the way up, so the walk never builds path strings."""
+
+    def __init__(self, value: Any) -> None:
+        super().__init__(value)
+        self.value = value
+        self.keys: List[str] = []
+
+
+def _encode_mapping(value: dict, arrays: List[np.ndarray]) -> dict:
+    try:
+        "".join(value)  # TypeError unless every key is a str
+        keys = sorted(value)
+    except TypeError:
+        keys = None
+    if keys is not None:
+        # The "__"-prefixed keys form one run in sorted order, starting
+        # at the first key >= "__", so one probe finds a marker clash.
+        i = bisect.bisect_left(keys, "__")
+        if i == len(keys) or not keys[i].startswith("__"):
+            # Sorted walk: array payload order must match the sorted
+            # JSON key order so equal states serialize to equal bytes
+            # regardless of in-memory dict insertion order.
+            out = {}
+            try:
+                for k in keys:
+                    v = value[k]
+                    out[k] = v if type(v) in _SCALARS else _encode(v, arrays)
+            except _Unencodable as exc:
+                exc.keys.append(k)
+                raise
+            return out
+    # Non-string (or marker-colliding) keys: order-preserving pairs.
+    return {"__kv__": [[_encode(k, arrays), _encode(v, arrays)]
+                       for k, v in value.items()]}
+
+
+def _encode(value: Any, arrays: List[np.ndarray]) -> Any:
+    kind = type(value)
+    if kind in _SCALARS:
         return value
-    if isinstance(value, (np.bool_,)):
+    if kind is dict:
+        return _encode_mapping(value, arrays)
+    if kind is list:
+        return [v if type(v) in _SCALARS else _encode(v, arrays) for v in value]
+    if kind is tuple:
+        return {"__t__": [v if type(v) in _SCALARS else _encode(v, arrays)
+                          for v in value]}
+    if isinstance(value, str):
+        return value
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -91,128 +145,183 @@ def _encode(value: Any, arrays: List[np.ndarray], path: str) -> Any:
         arrays.append(np.ascontiguousarray(value))
         return {"__nd__": len(arrays) - 1}
     if isinstance(value, list):
-        return [_encode(v, arrays, path) for v in value]
+        return [_encode(v, arrays) for v in value]
     if isinstance(value, tuple):
-        return {"__t__": [_encode(v, arrays, path) for v in value]}
+        return {"__t__": [_encode(v, arrays) for v in value]}
     if isinstance(value, (set, frozenset)):
-        return {"__s__": [_encode(v, arrays, path)
-                          for v in sorted(value, key=repr)]}
+        return {"__s__": [_encode(v, arrays) for v in sorted(value, key=repr)]}
     if isinstance(value, dict):
-        if all(isinstance(k, str) and not k.startswith("__") for k in value):
-            # Sorted walk: array payload order must match the sorted
-            # JSON key order so equal states serialize to equal bytes
-            # regardless of in-memory dict insertion order.
-            return {k: _encode(value[k], arrays, f"{path}.{k}")
-                    for k in sorted(value)}
-        # Non-string (or marker-colliding) keys: order-preserving pairs.
-        return {"__kv__": [[_encode(k, arrays, path), _encode(v, arrays, path)]
-                           for k, v in value.items()]}
-    raise StateError(
-        f"cannot serialize {type(value).__name__} at {path!r}; the capture "
-        f"layer must encode object references before serialization"
-    )
+        return _encode_mapping(value, arrays)
+    raise _Unencodable(value)
 
 
-def _decode(value: Any, arrays: List[np.ndarray]) -> Any:
-    if isinstance(value, list):
-        return [_decode(v, arrays) for v in value]
-    if isinstance(value, dict):
+def _marker_hook(arrays: List[np.ndarray]):
+    """``json`` object hook that rebuilds the marker dicts while the
+    header parses, so decoding takes no second walk over the tree."""
+
+    def hook(value: Dict[str, Any]) -> Any:
         if len(value) == 1:
             if "__nd__" in value:
                 return arrays[value["__nd__"]]
             if "__t__" in value:
-                return tuple(_decode(v, arrays) for v in value["__t__"])
+                return tuple(value["__t__"])
             if "__s__" in value:
-                return set(_decode(v, arrays) for v in value["__s__"])
+                return set(value["__s__"])
             if "__kv__" in value:
-                return {_decode(k, arrays): _decode(v, arrays)
-                        for k, v in value["__kv__"]}
-        return {k: _decode(v, arrays) for k, v in value.items()}
-    return value
+                return dict(value["__kv__"])
+        return value
+
+    return hook
 
 
 # ----------------------------------------------------------------------
 # Container
 # ----------------------------------------------------------------------
-def _dump_header(header: Dict[str, Any]) -> bytes:
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+# The header is the canonical dump of one dict whose keys sort as
+# ``arrays``, ``content_hash``, ``data``, ``repro_version``, ``schema``:
+#
+#     {"arrays":[...],"content_hash":"<64 hex>","data":{...},
+#      "repro_version":"...","schema":N}
+#
+# The hash covers these bytes with the 64 hex digits removed, followed
+# by the payload.  No string inside ``arrays`` (dtype codes) can hold
+# the hash key, and a top-level ``"repro_version"`` key is the last
+# one in the header, so a forward and a backward search find them.
+_PREFIX = b'{"arrays":'
+_HASH_KEY = b',"content_hash":"'
+_DATA_KEY = b'","data":'
+_TAIL_KEY = b',"repro_version":'
+_DIGEST_LEN = 64
+
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
-def to_bytes(state: SimState) -> bytes:
-    """Serialize *state* into the self-contained ``RPST`` container."""
+def _pack(state: SimState) -> Tuple[bytes, str]:
+    """The ``RPST`` blob of *state* and its content hash, from one
+    encoding walk and one header dump."""
     arrays: List[np.ndarray] = []
-    tree = _encode(state.data, arrays, "data")
+    try:
+        tree = _encode(state.data, arrays)
+    except _Unencodable as exc:
+        path = "".join(["data"] + [f".{k}" for k in reversed(exc.keys)])
+        raise StateError(
+            f"cannot serialize {type(exc.value).__name__} at {path!r}; the "
+            f"capture layer must encode object references before "
+            f"serialization"
+        ) from None
     directory = []
-    offset = 0
     chunks = []
+    offset = 0
     for arr in arrays:
         raw = arr.tobytes()
         directory.append({
             "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": offset,
             "nbytes": len(raw),
+            "offset": offset,
+            "shape": list(arr.shape),
         })
         offset += len(raw)
         chunks.append(raw)
-    payload = b"".join(chunks)
-    header = {
-        "schema": int(state.schema),
-        "repro_version": state.repro_version,
-        "content_hash": "",
+    # Every dict in the header is built in sorted key order, so this
+    # dump equals ``json.dumps(..., sort_keys=True)`` without sorting.
+    blank = _HEADER_ENCODER.encode({
         "arrays": directory,
+        "content_hash": "",
         "data": tree,
-    }
-    digest = hashlib.sha256(_dump_header(header) + payload).hexdigest()
-    header["content_hash"] = digest
-    hbytes = _dump_header(header)
-    return MAGIC + len(hbytes).to_bytes(4, "little") + hbytes + payload
+        "repro_version": state.repro_version,
+        "schema": int(state.schema),
+    }).encode("utf-8")
+    hasher = hashlib.sha256(blank)
+    for raw in chunks:
+        hasher.update(raw)
+    digest = hasher.hexdigest()
+    cut = blank.index(_HASH_KEY) + len(_HASH_KEY)
+    view = memoryview(blank)
+    blob = b"".join([
+        MAGIC, (len(blank) + _DIGEST_LEN).to_bytes(4, "little"),
+        view[:cut], digest.encode("ascii"), view[cut:], *chunks,
+    ])
+    return blob, digest
+
+
+def to_bytes(state: SimState) -> bytes:
+    """Serialize *state* into the self-contained ``RPST`` container."""
+    return _pack(state)[0]
+
+
+def _header_slot(header: bytes) -> int:
+    """Offset of the content hash's first hex digit in *header*."""
+    at = header.find(_HASH_KEY)
+    if not header.startswith(_PREFIX) or at < 0:
+        raise StateError("corrupt RPST header: not in canonical form")
+    return at + len(_HASH_KEY)
+
+
+def blob_digest(blob: bytes) -> str:
+    """The content hash of an ``RPST`` blob, read from its header
+    without parsing or verifying it.  Equals :func:`state_digest` of
+    the state *blob* was serialized from."""
+    if len(blob) < 8 or blob[:4] != MAGIC:
+        raise StateError("not an RPST checkpoint (bad magic)")
+    hlen = int.from_bytes(blob[4:8], "little")
+    cut = _header_slot(blob[8:8 + hlen])
+    return blob[8 + cut:8 + cut + _DIGEST_LEN].decode("ascii")
 
 
 def from_bytes(blob: bytes) -> SimState:
-    """Parse an ``RPST`` container, verifying magic, schema and hash."""
+    """Parse an ``RPST`` container, verifying magic, schema and hash.
+
+    The hash is checked over the raw header bytes, so a header that is
+    not byte-for-byte the canonical dump fails it.
+    """
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise StateError("not an RPST checkpoint (bad magic)")
     hlen = int.from_bytes(blob[4:8], "little")
     if len(blob) < 8 + hlen:
         raise StateError("truncated RPST checkpoint (header)")
+    header = blob[8:8 + hlen]
+    cut = _header_slot(header)
+    data_at = cut + _DIGEST_LEN + len(_DATA_KEY)
+    tail = header.rfind(_TAIL_KEY)
+    if header[data_at - len(_DATA_KEY):data_at] != _DATA_KEY or tail < data_at:
+        raise StateError("corrupt RPST header: not in canonical form")
     try:
-        header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = json.loads(b"{" + header[tail + 1:])
+    except ValueError as exc:
         raise StateError(f"corrupt RPST header: {exc}") from exc
-    schema = header.get("schema")
+    schema = meta.get("schema")
     if schema != STATE_SCHEMA_VERSION:
         raise StateError(
             f"checkpoint schema {schema} is not supported "
             f"(this build reads schema {STATE_SCHEMA_VERSION})"
         )
-    payload = blob[8 + hlen:]
-    expected = header.get("content_hash", "")
-    check = dict(header)
-    check["content_hash"] = ""
-    actual = hashlib.sha256(_dump_header(check) + payload).hexdigest()
-    if actual != expected:
+    payload = memoryview(blob)[8 + hlen:]
+    hasher = hashlib.sha256(header[:cut])
+    hasher.update(header[cut + _DIGEST_LEN:])
+    hasher.update(payload)
+    if hasher.hexdigest().encode("ascii") != header[cut:cut + _DIGEST_LEN]:
         raise StateError("RPST content hash mismatch (corrupt checkpoint)")
-    arrays: List[np.ndarray] = []
-    for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise StateError("truncated RPST checkpoint (payload)")
-        arr = np.frombuffer(
-            payload[start:start + nbytes], dtype=np.dtype(entry["dtype"])
-        ).reshape(entry["shape"]).copy()
-        arrays.append(arr)
-    data = _decode(header["data"], arrays)
-    return SimState(schema=schema, repro_version=header["repro_version"], data=data)
+    try:
+        directory = json.loads(header[len(_PREFIX):cut - len(_HASH_KEY)])
+        arrays: List[np.ndarray] = []
+        for entry in directory:
+            start, nbytes = entry["offset"], entry["nbytes"]
+            if start + nbytes > len(payload):
+                raise StateError("truncated RPST checkpoint (payload)")
+            arrays.append(np.frombuffer(
+                payload[start:start + nbytes], dtype=np.dtype(entry["dtype"])
+            ).reshape(entry["shape"]).copy())
+        data = json.loads(header[data_at:tail].decode("utf-8"),
+                          object_hook=_marker_hook(arrays))
+    except (ValueError, LookupError) as exc:
+        raise StateError(f"corrupt RPST header: {exc}") from exc
+    return SimState(schema=schema, repro_version=meta["repro_version"], data=data)
 
 
 def state_digest(state: SimState) -> str:
     """Canonical sha256 fingerprint of *state* (the content hash of its
     serialized form)."""
-    blob = to_bytes(state)
-    hlen = int.from_bytes(blob[4:8], "little")
-    header = json.loads(blob[8:8 + hlen].decode("utf-8"))
-    return header["content_hash"]
+    return _pack(state)[1]
 
 
 def save_state(path: str, state: SimState) -> str:

@@ -1,5 +1,8 @@
 """Integration tests for ClusterSimulation: execution semantics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster import Machine, MachineSpec, NodeState
@@ -294,3 +297,46 @@ class TestPolicyHooks:
         names = [c.name for c in sim.epa.components]
         assert "static-capping" in names
         assert "power-meter" in names
+
+
+class TestCollection:
+    """A dropped simulation is freed by the cycle collector.
+
+    ``_nodes_arr`` is a NumPy object array, whose references the
+    collector cannot see; with a strong node -> simulation edge, every
+    simulation ever built would stay alive.
+    """
+
+    def test_dropped_center_simulations_are_collected(self):
+        from repro.centers import build_center_simulation
+
+        refs = []
+        for seed in range(3):
+            sim_obj = build_center_simulation("lrz", seed=seed).simulation
+            refs.append(weakref.ref(sim_obj))
+            del sim_obj
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+
+    def test_simulation_collected_after_running(self):
+        def run_and_drop():
+            machine = Machine(MachineSpec(name="m", nodes=16, nodes_per_cabinet=4))
+            jobs = [make_job(job_id=f"j{i}", nodes=4, work=100.0) for i in range(6)]
+            sim_obj, result = run_sim(machine, jobs)
+            assert len(result.jobs) == 6
+            return weakref.ref(sim_obj)
+
+        ref = run_and_drop()
+        gc.collect()
+        assert ref() is None
+
+    def test_node_events_after_collection_are_ignored(self, small_machine):
+        # Without bulk ops the machine holds no listener of its own, so
+        # it can outlive the simulation that installed the node hooks.
+        ref = weakref.ref(
+            ClusterSimulation(small_machine, FcfsScheduler(), [], bulk_ops=False)
+        )
+        gc.collect()
+        assert ref() is None
+        small_machine.nodes[0].transition(NodeState.DOWN, 0.0)
+        assert small_machine.nodes[0].state is NodeState.DOWN

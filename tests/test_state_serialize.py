@@ -124,6 +124,42 @@ class TestContainerValidation:
         with pytest.raises(StateError, match="hash"):
             from_bytes(bytes(blob))
 
+    @staticmethod
+    def _split(blob: bytes):
+        hlen = int.from_bytes(blob[4:8], "little")
+        return blob[8:8 + hlen], blob[8 + hlen:]
+
+    @staticmethod
+    def _join(header: bytes, payload: bytes) -> bytes:
+        return b"RPST" + len(header).to_bytes(4, "little") + header + payload
+
+    def test_hash_mismatch_on_flipped_data_byte(self):
+        blob = to_bytes(make_state({"a": 12345, "b": "hello", "c": np.arange(4.0)}))
+        header, payload = self._split(blob)
+        assert header.count(b'"hello"') == 1
+        with pytest.raises(StateError, match="hash"):
+            from_bytes(self._join(header.replace(b'"hello"', b'"hellp"'), payload))
+        with pytest.raises(StateError, match="hash"):
+            from_bytes(self._join(header.replace(b"12345", b"12346"), payload))
+
+    def test_hash_mismatch_on_other_well_formed_hash(self):
+        st = make_state({"a": np.arange(8.0)})
+        blob = to_bytes(st)
+        digest = state_digest(st).encode()
+        other = state_digest(make_state({"a": np.arange(9.0)})).encode()
+        assert other != digest and len(other) == 64
+        with pytest.raises(StateError, match="hash"):
+            from_bytes(blob.replace(digest, other))
+
+    def test_non_canonical_header_rejected(self):
+        # Same content and the same (valid) content hash, re-indented.
+        blob = to_bytes(make_state({"a": [1, 2], "b": np.arange(3.0)}))
+        header, payload = self._split(blob)
+        pretty = json.dumps(json.loads(header), sort_keys=True, indent=1).encode()
+        assert json.loads(pretty) == json.loads(header)
+        with pytest.raises(StateError):
+            from_bytes(self._join(pretty, payload))
+
     def test_unsupported_schema(self):
         blob = to_bytes(make_state({"a": 1}))
         hlen = int.from_bytes(blob[4:8], "little")
